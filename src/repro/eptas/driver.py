@@ -140,7 +140,6 @@ def _prepare_guess(
         budget=constants.budget,
         max_slots=constants.q,
         max_patterns=config.max_patterns,
-        num_machines=transformed.num_machines,
     )
     report.num_patterns = len(patterns)
 

@@ -164,20 +164,27 @@ def build_configuration_milp(
             wildcard_requirements[entry.size] = available
         else:
             priority_requirements[(entry.bag, entry.size)] = available
+    # One pass over the pattern entries fills every cover row, in pattern
+    # order, so each row lists its coefficients by pattern index.
+    priority_cover: dict[tuple[int, float], dict[str, float]] = {
+        key: {} for key in priority_requirements
+    }
+    wildcard_cover: dict[float, dict[str, float]] = {
+        size: {} for size in wildcard_requirements
+    }
+    for index, pattern in enumerate(patterns.patterns):
+        name = x_name[index]
+        for entry, count in pattern.entries:
+            if entry.is_wildcard:
+                wildcard_cover[entry.size][name] = float(count)
+            else:
+                priority_cover[(entry.bag, entry.size)][name] = float(count)
     for (bag, size), required in sorted(priority_requirements.items()):
-        coefficients: dict[str, float] = {}
-        for index, pattern in enumerate(patterns.patterns):
-            count = pattern.priority_slots().get((bag, size), 0)
-            if count:
-                coefficients[x_name[index]] = float(count)
-        model.add_ge(f"cover_p_{bag}_{size:.12g}", coefficients, float(required))
+        model.add_ge(
+            f"cover_p_{bag}_{size:.12g}", priority_cover[(bag, size)], float(required)
+        )
     for size, required in sorted(wildcard_requirements.items()):
-        coefficients = {}
-        for index, pattern in enumerate(patterns.patterns):
-            count = pattern.wildcard_slots().get(size, 0)
-            if count:
-                coefficients[x_name[index]] = float(count)
-        model.add_ge(f"cover_x_{size:.12g}", coefficients, float(required))
+        model.add_ge(f"cover_x_{size:.12g}", wildcard_cover[size], float(required))
 
     # --- (3) cover every small job. --------------------------------------
     for small in small_classes:

@@ -164,7 +164,6 @@ def enumerate_patterns(
     budget: float,
     max_slots: int,
     max_patterns: int = 50_000,
-    num_machines: int | None = None,
 ) -> PatternSet:
     """Enumerate every valid pattern over the given entry types.
 
@@ -173,69 +172,72 @@ def enumerate_patterns(
     number of available jobs of that size (and up to ``max_slots``).  The
     empty pattern is always included (machines may carry only small jobs).
 
+    The DFS carries each pattern's ``entries`` tuple down to its children,
+    which extend it by one ``(entry, count)`` pair, so no pattern is rebuilt
+    from a scan of all entry types.
+
     Raises :class:`SolverLimitError` when more than ``max_patterns`` patterns
     would be produced.
     """
     entries = list(entry_types)
-    patterns: list[Pattern] = []
-    current_counts: list[int] = [0] * len(entries)
+    wildcard = [entry.is_wildcard for entry, _ in entries]
+    cutoff = budget + SIZE_TOL
+    # (entries, height, num_slots) per pattern; the Pattern objects are only
+    # built once the enumeration has stayed under the cap.
+    found: list[tuple[tuple[tuple[PatternEntry, int], ...], float, int]] = []
 
-    def emit(height: float, slots: int) -> None:
-        if len(patterns) >= max_patterns:
+    def recurse(
+        start: int,
+        chosen: tuple[tuple[PatternEntry, int], ...],
+        height: float,
+        slots: int,
+        used_bags: frozenset[int],
+    ) -> None:
+        if len(found) >= max_patterns:
             raise SolverLimitError(
                 f"pattern enumeration exceeded max_patterns={max_patterns}; "
                 "increase the limit or use a larger eps"
             )
-        chosen = tuple(
-            (entries[index][0], count)
-            for index, count in enumerate(current_counts)
-            if count > 0
-        )
-        patterns.append(Pattern(entries=chosen, height=height, num_slots=slots))
-
-    def recurse(start: int, height: float, slots: int, used_bags: frozenset[int]) -> None:
-        emit(height, slots)
+        found.append((chosen, height, slots))
+        if slots >= max_slots:
+            return
         for index in range(start, len(entries)):
             entry, available = entries[index]
             if available <= 0:
                 continue
-            if not entry.is_wildcard and entry.bag in used_bags:
+            size = entry.size
+            if height + size > cutoff:
                 continue
-            if slots >= max_slots:
-                continue
-            if height + entry.size > budget + SIZE_TOL:
-                continue
-            if entry.is_wildcard:
+            if wildcard[index]:
                 # Take 1..limit copies of the wildcard slot.
                 limit = min(available, max_slots - slots)
-                if num_machines is not None:
-                    limit = min(limit, max_slots)
                 taken = 0
                 added_height = 0.0
-                while taken < limit and height + added_height + entry.size <= budget + SIZE_TOL:
+                while taken < limit and height + added_height + size <= cutoff:
                     taken += 1
-                    added_height += entry.size
-                    current_counts[index] = taken
+                    added_height += size
                     recurse(
                         index + 1,
+                        chosen + ((entry, taken),),
                         height + added_height,
                         slots + taken,
                         used_bags,
                     )
-                current_counts[index] = 0
-            else:
-                current_counts[index] = 1
+            elif entry.bag not in used_bags:
                 recurse(
                     index + 1,
-                    height + entry.size,
+                    chosen + ((entry, 1),),
+                    height + size,
                     slots + 1,
                     used_bags | {entry.bag},
                 )
-                current_counts[index] = 0
 
-    recurse(0, 0.0, 0, frozenset())
+    recurse(0, (), 0.0, 0, frozenset())
     return PatternSet(
-        patterns=tuple(patterns),
+        patterns=tuple(
+            Pattern(entries=chosen, height=height, num_slots=slots)
+            for chosen, height, slots in found
+        ),
         entry_types=tuple(entries),
         budget=budget,
         max_slots=max_slots,

@@ -164,6 +164,20 @@ class TestConfigurations:
         assert_feasible(result.schedule)
         assert "limit_errors" in result.diagnostics
 
+    def test_default_pattern_cap_falls_back_before_any_milp(self):
+        # n=40 at eps=1/4 has far more than 50_000 patterns: the default cap
+        # must stop the enumeration, so no configuration MILP is built.
+        instance = uniform_random_instance(
+            num_jobs=40, num_machines=6, num_bags=10, seed=0
+        ).instance
+        result = eptas_schedule(instance, eps=0.25)
+        assert result.diagnostics["limit_errors"] == [
+            "pattern enumeration exceeded max_patterns=50000; "
+            "increase the limit or use a larger eps"
+        ]
+        assert result.diagnostics["attempts"] == []
+        assert result.makespan == result.diagnostics["greedy_upper_bound"]
+
     def test_priority_cap_one(self, uniform_instance):
         config = EptasConfig(eps=0.25, practical_priority_cap=1)
         result = eptas_schedule(uniform_instance, eps=0.25, config=config)
